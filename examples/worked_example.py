@@ -69,7 +69,7 @@ def main() -> None:
     for label, placement in (("Cut1", cut1), ("Cut2", result.placement)):
         cost = circuit.sequential_cost(placement, overhead=2.0)
         arrival = circuit.endpoint_arrival(placement, "O9")
-        edl = "EDL" if circuit.is_edl(placement, "O9") else "non-EDL"
+        edl = "EDL" if "O9" in circuit.edl_endpoints(placement) else "non-EDL"
         print(
             f"{label}: {cost.n_slaves} slaves, O9 arrival {arrival:.0f} "
             f"({edl}), sequential cost {cost.latch_units:.0f} units"

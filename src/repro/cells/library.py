@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cells.cell import Cell, CombCell, FlipFlopCell, LatchCell, SequentialCell
 
@@ -27,18 +27,28 @@ class LatchGroup(Enum):
 
 @dataclass
 class Library:
-    """A named collection of cells with convenience queries."""
+    """A named collection of cells with convenience queries.
+
+    :meth:`add` is the one mutation point of ``cells``: it drops the
+    lazily built drive-variant index, so mutate ``cells`` through it.
+    """
 
     name: str
     cells: Dict[str, Cell] = field(default_factory=dict)
     #: Optional latch-group tagging used by the virtual-library flow.
     latch_groups: Dict[str, LatchGroup] = field(default_factory=dict)
+    #: ``(base_name, vt)`` -> comb cells sorted by drive; built on the
+    #: first drive-variant query, dropped by :meth:`add`.
+    _variants: Optional[Dict[Tuple[str, str], List[CombCell]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add(self, cell: Cell, group: Optional[LatchGroup] = None) -> None:
         """Register ``cell``; optionally tag its virtual-library group."""
         if cell.name in self.cells:
             raise ValueError(f"duplicate cell name {cell.name!r}")
         self.cells[cell.name] = cell
+        self._variants = None
         if group is not None:
             self.latch_groups[cell.name] = group
 
@@ -80,19 +90,26 @@ class Library:
             if self.group_of(cell.name) is group
         ]
 
+    def _variant_index(self) -> Dict[Tuple[str, str], List[CombCell]]:
+        if self._variants is None:
+            index: Dict[Tuple[str, str], List[CombCell]] = {}
+            for c in self.comb_cells():
+                index.setdefault((c.base_name, c.vt), []).append(c)
+            # A stable sort: equal drives keep their library order.
+            for variants in index.values():
+                variants.sort(key=lambda c: c.drive)
+            self._variants = index
+        return self._variants
+
     def drive_variants(self, cell: CombCell) -> List[CombCell]:
         """Drive strengths of ``cell``'s base at its Vt, weakest first."""
-        variants = [
-            c
-            for c in self.comb_cells()
-            if c.base_name == cell.base_name and c.vt == cell.vt
-        ]
-        return sorted(variants, key=lambda c: c.drive)
+        return list(self._variant_index().get((cell.base_name, cell.vt), ()))
 
     def next_drive_up(self, cell: CombCell) -> Optional[CombCell]:
         """The next stronger variant of ``cell``, or None at the top."""
-        variants = self.drive_variants(cell)
-        for candidate in variants:
+        for candidate in self._variant_index().get(
+            (cell.base_name, cell.vt), ()
+        ):
             if candidate.drive > cell.drive:
                 return candidate
         return None
@@ -101,12 +118,8 @@ class Library:
         """Same base function and drive at a different Vt flavour."""
         if cell.vt == vt:
             return cell
-        for candidate in self.comb_cells():
-            if (
-                candidate.base_name == cell.base_name
-                and candidate.drive == cell.drive
-                and candidate.vt == vt
-            ):
+        for candidate in self._variant_index().get((cell.base_name, vt), ()):
+            if candidate.drive == cell.drive:
                 return candidate
         return None
 
@@ -194,8 +207,8 @@ class Library:
         Cells in ``other`` shadow same-named cells here.
         """
         merged = Library(name=name)
-        merged.cells.update(self.cells)
-        merged.cells.update(other.cells)
+        for cell in {**self.cells, **other.cells}.values():
+            merged.add(cell)
         merged.latch_groups.update(self.latch_groups)
         merged.latch_groups.update(other.latch_groups)
         return merged

@@ -72,7 +72,8 @@ def build_virtual_library(
     normal = base.default_latch()
     vname = f"{base.name}_vl"
     vlib = Library(name=vname)
-    vlib.cells.update(base.cells)
+    for cell in base.cells.values():
+        vlib.add(cell)
     vlib.latch_groups.update(base.latch_groups)
 
     non_edl = replace(

@@ -27,6 +27,12 @@ from repro.sta.engine import NEG_INF, TimingEngine
 
 EPS = 1e-9
 
+#: Absolute band below a limit inside which the arrival DP defers to
+#: the per-endpoint eq. (5) oracle.  The two differ only in float
+#: association order (a few ulp of nanosecond-scale arrivals, under
+#: 1e-15), so the band is ample and keeps oracle calls to the boundary.
+ORACLE_BAND = 1e-12
+
 
 @dataclass
 class LegalityReport:
@@ -213,11 +219,21 @@ class TwoPhaseCircuit:
         The slave opens at ``phi1 + gamma1``; early data waits for the
         opening edge (CK->Q), late data flows through transparently
         (D->Q).
+
+        A ``HOST`` edge feeds the *source* role of its sink (a PI or a
+        flop's Q side), so the master D-pin rule below applies only to
+        cloud edges: a host edge into flop ``t`` itself starts the
+        ``t.Q -> t.D`` stage instead of ending at ``t``'s D pin.
         """
         launch = max(
             self.scheme.slave_open + self.latch_ck_q,
             self.df(driver) + self.latch_d_q,
         )
+        if driver == HOST:
+            tail = self._source_tail(sink, endpoint)
+            if tail == NEG_INF:
+                return NEG_INF
+            return launch + tail
         if sink == endpoint:
             return launch
         sink_gate = self.netlist[sink]
@@ -230,26 +246,57 @@ class TwoPhaseCircuit:
             return NEG_INF  # edge not in this endpoint's cone
         return launch + self.edge_delay(driver, sink) + db
 
+    def _source_tail(self, source: str, endpoint: str) -> float:
+        """``D^b`` from the output of ``source`` (its Q role) to
+        ``endpoint``; -inf when no path.
+
+        The backward table keys a flop's own name to its D pin (0), so
+        a flop whose Q reaches its own D is expanded over its fanouts
+        the way the table expands every other node.
+        """
+        if source != endpoint:
+            return self.db(source, endpoint)
+        best = NEG_INF
+        for user in self.netlist.fanouts(source):
+            if user == endpoint:
+                best = max(best, 0.0)
+                continue
+            if self.netlist[user].gtype in (GateType.DFF, GateType.OUTPUT):
+                continue  # a different master's D pin
+            tail = self.db(user, endpoint)
+            if tail != NEG_INF:
+                best = max(best, self.edge_delay(source, user) + tail)
+        return best
+
     def endpoint_arrival(
         self, placement: SlavePlacement, endpoint: str
     ) -> float:
         """Worst arrival at ``endpoint`` for a placement: the max of
-        eq. (5) over the slave latches in its fan-in cone."""
-        cone = self.netlist.fanin_cone(endpoint)
+        eq. (5) over the slave latches in its fan-in cone.
+
+        This is the per-endpoint oracle of :meth:`endpoint_arrivals`.
+        It visits only the cone's edges: the latched host edge of every
+        source in the cone, and the fanin edges of the cone's other
+        members (a source's own fanins feed its D pin, another stage).
+        """
+        netlist = self.netlist
         worst = NEG_INF
-        for driver, sink in placement.latch_edges(self.netlist):
-            if sink not in cone:
-                continue
-            if sink != endpoint and driver != HOST:
-                sink_gate = self.netlist[sink]
-                if sink_gate.gtype in (GateType.DFF, GateType.OUTPUT):
-                    # The edge ends at a *different* master's D pin:
-                    # it belongs to another stage (the sink is in the
-                    # cone only through its Q role) and cannot reach
-                    # this endpoint combinationally.
+        for sink in netlist.fanin_cone(endpoint):
+            gate = netlist[sink]
+            if gate.is_source:
+                if placement.edge_weight_after(netlist, HOST, sink) == 1:
+                    worst = max(
+                        worst, self.arrival_through(HOST, sink, endpoint)
+                    )
+                if sink != endpoint:
                     continue
-            value = self.arrival_through(driver, sink, endpoint)
-            worst = max(worst, value)
+            for driver in gate.fanins:
+                if netlist[driver].gtype is GateType.OUTPUT:
+                    continue
+                if placement.edge_weight_after(netlist, driver, sink) == 1:
+                    worst = max(
+                        worst, self.arrival_through(driver, sink, endpoint)
+                    )
         return worst
 
     def endpoint_arrivals(
@@ -257,10 +304,15 @@ class TwoPhaseCircuit:
     ) -> Dict[str, float]:
         """All endpoint arrivals in one forward pass.
 
-        Equivalent to :meth:`endpoint_arrival` per endpoint (every path
-        crosses exactly one slave, so the DP over "post-latch arrival"
-        realizes the max of eq. (5) over the fan-in cone) but linear in
-        the netlist size.
+        Equivalent to :meth:`endpoint_arrival` per endpoint but linear
+        in the netlist size.  The contract holds for non-negative
+        placements: there every master-to-master path crosses exactly
+        one slave, so the DP over "post-latch arrival" realizes the max
+        of eq. (5) over the fan-in cone, and the two differ only in
+        float association order (a few ulp).  On placements with
+        negative edges a path may cross no slave or several; the DP and
+        the per-edge oracle then differ by design, and overflow figures
+        are undefined.
         """
         arrivals, _ = self.arrival_details(placement)
         return arrivals
@@ -286,7 +338,7 @@ class TwoPhaseCircuit:
             gate = self.netlist[name]
             if gate.is_source:
                 if placement.edge_weight_after(self.netlist, HOST, name) == 1:
-                    post[name] = launch_floor
+                    post[name] = max(launch_floor, self.latch_d_q)
                 else:
                     post[name] = 0.0
                 continue
@@ -304,13 +356,6 @@ class TwoPhaseCircuit:
         return arrivals, post
 
     # -- EDL status ---------------------------------------------------------
-
-    def is_edl(self, placement: SlavePlacement, endpoint: str) -> bool:
-        """True when the master at ``endpoint`` must be error-detecting."""
-        return (
-            self.endpoint_arrival(placement, endpoint)
-            > self.scheme.window_open + EPS
-        )
 
     def edl_endpoints(self, placement: SlavePlacement) -> Set[str]:
         """Masters that must be error-detecting under ``placement``."""
@@ -379,7 +424,15 @@ class TwoPhaseCircuit:
     # -- legality -------------------------------------------------------------
 
     def check_legality(self, placement: SlavePlacement) -> LegalityReport:
-        """Validate ``placement`` against constraints (6)/(7)."""
+        """Validate ``placement`` against constraints (6)/(7) and the
+        eq. (5) window limit.
+
+        Linear in the netlist size: window overflows come from the
+        :meth:`endpoint_arrivals` DP, with :meth:`endpoint_arrival`
+        recomputing the endpoints within ``ORACLE_BAND`` of the limit.
+        Overflow figures are defined for non-negative placements only
+        (see :meth:`endpoint_arrivals`).
+        """
         report = LegalityReport()
         report.negative_edges = placement.check_nonnegative(self.netlist)
         forward_limit = self.scheme.forward_limit
@@ -403,9 +456,18 @@ class TwoPhaseCircuit:
             if db > backward_limit + EPS:
                 report.backward_violations.append(sink)
 
+        # Eq. (5) window limit: one DP pass screens every endpoint, and
+        # the per-endpoint oracle recomputes only those the DP flags or
+        # puts within ORACLE_BAND of the limit, where the two could
+        # round to different sides.  The report thus equals the
+        # oracle's field by field on non-negative placements.
+        window_close = self.scheme.window_close
+        arrivals = self.endpoint_arrivals(placement)
         for endpoint in self._endpoint_names:
+            if arrivals[endpoint] - window_close <= EPS - ORACLE_BAND:
+                continue
             arrival = self.endpoint_arrival(placement, endpoint)
-            overflow = arrival - self.scheme.window_close
+            overflow = arrival - window_close
             if overflow > EPS:
                 report.window_overflows[endpoint] = overflow
         return report

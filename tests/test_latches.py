@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.fig4 import fig4_circuit
+from repro.flows import prepare_circuit
 from repro.latches import HOST, SlavePlacement, TwoPhaseCircuit
 from repro.latches.conversion import flop_resilient_area, original_flop_report
+from repro.netlist import NetlistBuilder
 from repro.netlist.netlist import GateType
 
 
@@ -101,10 +103,8 @@ class TestFig4Timing:
         ) == pytest.approx(9)
 
     def test_cut1_edl_cut2_not(self, fig4):
-        assert fig4.is_edl(cut1_placement(), "O9")
-        assert not fig4.is_edl(cut2_placement(), "O9")
-        assert not fig4.is_edl(cut1_placement(), "O10")
-        assert not fig4.is_edl(cut2_placement(), "O10")
+        assert fig4.edl_endpoints(cut1_placement()) == {"O9"}
+        assert fig4.edl_endpoints(cut2_placement()) == set()
 
     def test_paper_unit_costs(self, fig4):
         """Cut1 costs 5 units, Cut2 costs 4 at c = 2 (plus the O10
@@ -230,3 +230,62 @@ class TestPlacementProperties:
 
         for endpoint in circuit.endpoint_names:
             count_paths(endpoint, 0)
+
+
+def _host_edge_circuit(library):
+    """PI ``a`` and a flop ``q`` whose Q reaches PO ``y`` and its own D.
+
+    ``q.Q -> n1 -> n2 -> y`` and ``n2 -> n3 (with a) -> q.D``.
+    """
+    builder = NetlistBuilder("hostedge", library)
+    builder.input("a")
+    builder.flop("q", "n3")
+    builder.gate("n1", "INV", ["q"])
+    builder.gate("n2", "INV", ["n1"])
+    builder.gate("n3", "NAND", ["n2", "a"])
+    builder.output("y", "n2")
+    _, circuit = prepare_circuit(builder.build(), library)
+    return circuit
+
+
+class TestHostEdgeArrival:
+    """Eq. (5) through a slave on the host edge into a flop's Q side.
+
+    A host edge feeds the flop's *source* role, so the path it starts
+    runs from Q onward; it never ends at the flop's own D pin.
+    """
+
+    @staticmethod
+    def _launch(circuit):
+        return max(
+            circuit.scheme.slave_open + circuit.latch_ck_q,
+            circuit.latch_d_q,
+        )
+
+    def test_reaches_another_endpoint(self, library):
+        circuit = _host_edge_circuit(library)
+        path = circuit.edge_delay("q", "n1") + circuit.edge_delay("n1", "n2")
+        assert circuit.arrival_through(HOST, "q", "y") == pytest.approx(
+            self._launch(circuit) + path
+        )
+
+    def test_reaches_its_own_d_pin_through_the_loop(self, library):
+        circuit = _host_edge_circuit(library)
+        loop = (
+            circuit.edge_delay("q", "n1")
+            + circuit.edge_delay("n1", "n2")
+            + circuit.edge_delay("n2", "n3")
+        )
+        assert circuit.arrival_through(HOST, "q", "q") == pytest.approx(
+            self._launch(circuit) + loop
+        )
+
+    def test_oracle_matches_dp(self, library):
+        circuit = _host_edge_circuit(library)
+        for retimed in (set(), {"a"}, {"q"}, {"a", "q", "n1"}):
+            placement = SlavePlacement(retimed=retimed)
+            bulk = circuit.endpoint_arrivals(placement)
+            for endpoint in circuit.endpoint_names:
+                assert circuit.endpoint_arrival(
+                    placement, endpoint
+                ) == pytest.approx(bulk[endpoint])

@@ -1,5 +1,7 @@
 """Tests for the library container and the default-library builder."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cells import (
@@ -199,3 +201,103 @@ class TestVirtualLibrary:
         assert vl.group_area(LatchGroup.NON_EDL) == pytest.approx(
             vl.group_area(LatchGroup.NORMAL)
         )
+
+
+def _scan_drive_variants(library, cell):
+    """The linear scan the drive-variant index replaces."""
+    return sorted(
+        (
+            c
+            for c in library.comb_cells()
+            if c.base_name == cell.base_name and c.vt == cell.vt
+        ),
+        key=lambda c: c.drive,
+    )
+
+
+def _scan_next_drive_up(library, cell):
+    for candidate in _scan_drive_variants(library, cell):
+        if candidate.drive > cell.drive:
+            return candidate
+    return None
+
+
+def _scan_vt_variant(library, cell, vt):
+    if cell.vt == vt:
+        return cell
+    for candidate in library.comb_cells():
+        if (
+            candidate.base_name == cell.base_name
+            and candidate.drive == cell.drive
+            and candidate.vt == vt
+        ):
+            return candidate
+    return None
+
+
+def _fresh_library():
+    """A private copy of the default library, safe to mutate."""
+    return Library.from_cells("copy", default_library().cells.values())
+
+
+def _inv_x8(library):
+    return replace(library["INV_X4"], name="INV_X8", drive=8)
+
+
+class TestDriveVariantIndex:
+    @pytest.mark.parametrize("virtual", [False, True])
+    def test_matches_linear_scan(self, virtual):
+        library = default_library()
+        if virtual:
+            library = build_virtual_library(
+                library, scheme_from_period(1.0), overhead=1.0
+            ).library
+        for cell in library.comb_cells():
+            assert library.drive_variants(cell) == _scan_drive_variants(
+                library, cell
+            )
+            assert library.next_drive_up(cell) is _scan_next_drive_up(
+                library, cell
+            )
+            for vt in ("svt", "lvt"):
+                assert library.vt_variant(cell, vt) is _scan_vt_variant(
+                    library, cell, vt
+                )
+
+    def test_returned_list_is_a_copy(self, library):
+        variants = library.drive_variants(library["INV_X1"])
+        variants.clear()
+        assert library.drive_variants(library["INV_X1"])
+
+    def test_add_after_lookup(self):
+        library = _fresh_library()
+        top = library["INV_X4"]
+        assert library.next_drive_up(top) is None
+        library.add(_inv_x8(library))
+        assert library.next_drive_up(top).name == "INV_X8"
+        assert library.drive_variants(top)[-1].name == "INV_X8"
+
+    def test_merge_after_lookup(self):
+        library = _fresh_library()
+        top = library["INV_X4"]
+        assert library.next_drive_up(top) is None
+        other = Library.from_cells("extra", [_inv_x8(library)])
+        merged = library.merged_with(other, "merged")
+        assert merged.next_drive_up(top).name == "INV_X8"
+        assert library.next_drive_up(top) is None
+        assert merged.drive_variants(top) == _scan_drive_variants(
+            merged, top
+        )
+
+    def test_virtual_build_after_lookup(self):
+        library = _fresh_library()
+        top = library["INV_X4"]
+        assert library.next_drive_up(top) is None
+        library.add(_inv_x8(library))
+        vlib = build_virtual_library(
+            library, scheme_from_period(1.0), overhead=1.0
+        ).library
+        assert vlib.next_drive_up(top).name == "INV_X8"
+        assert vlib.next_drive_up(vlib["INV_X8"]) is None
+        vlib.add(replace(top, name="INV_X16", drive=16))
+        assert vlib.next_drive_up(vlib["INV_X8"]).name == "INV_X16"

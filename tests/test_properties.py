@@ -5,13 +5,21 @@ solver exactness (simplex == LP), retiming legality, credit soundness,
 and arrival-model consistency, across a family of random FSM clouds.
 """
 
+import functools
+import math
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cells import default_library
+from repro.circuits import build_benchmark
+from repro.circuits.fig4 import fig4_circuit
 from repro.circuits.generator import CloudSpec, generate_circuit
 from repro.flows import prepare_circuit
 from repro.latches import SlavePlacement
+from repro.latches.resilient import EPS
+from repro.netlist.netlist import GateType
 from repro.retime import (
     base_retime,
     build_retiming_graph,
@@ -127,3 +135,70 @@ class TestRetimingInvariants:
         assert placement.slave_count(circuit.netlist) == len(
             circuit.source_names
         )
+
+
+@functools.lru_cache(maxsize=None)
+def parity_circuit(name):
+    """Fig. 4 or a prepared Table I circuit, built once per session."""
+    if name == "fig4":
+        return fig4_circuit()
+    _, circuit = prepare_circuit(build_benchmark(name, LIBRARY), LIBRARY)
+    return circuit
+
+
+def fanin_closed_placement(circuit, rng, rate):
+    """A random placement in which a gate is retimed only if all of its
+    fanins are.  Such placements are non-negative and phase-legal."""
+    netlist = circuit.netlist
+    retimed = set()
+    for name in netlist.topo_order():
+        gate = netlist[name]
+        if gate.gtype is GateType.OUTPUT:
+            continue
+        if not gate.is_source and not retimed.issuperset(gate.fanins):
+            continue
+        if rng.random() < rate:
+            retimed.add(name)
+    return SlavePlacement(retimed=retimed)
+
+
+PARITY_CIRCUITS = st.sampled_from(["fig4", "s1196", "s1423"])
+RATES = st.floats(min_value=0.2, max_value=1.0)
+PARITY = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestLegalityParity:
+    """The linear legality check against the per-endpoint eq. (5)
+    oracle on random non-negative placements."""
+
+    @given(PARITY_CIRCUITS, SEEDS, RATES)
+    @PARITY
+    def test_check_legality_matches_oracle(self, name, seed, rate):
+        circuit = parity_circuit(name)
+        placement = fanin_closed_placement(circuit, random.Random(seed), rate)
+        report = circuit.check_legality(placement)
+        assert report.negative_edges == []
+        window_close = circuit.scheme.window_close
+        oracle = {}
+        for endpoint in circuit.endpoint_names:
+            overflow = (
+                circuit.endpoint_arrival(placement, endpoint) - window_close
+            )
+            if overflow > EPS:
+                oracle[endpoint] = overflow
+        assert list(report.window_overflows.items()) == list(oracle.items())
+
+    @given(PARITY_CIRCUITS, SEEDS, RATES)
+    @PARITY
+    def test_arrival_dp_within_4_ulp_of_oracle(self, name, seed, rate):
+        circuit = parity_circuit(name)
+        placement = fanin_closed_placement(circuit, random.Random(seed), rate)
+        bulk = circuit.endpoint_arrivals(placement)
+        for endpoint in circuit.endpoint_names:
+            dp = bulk[endpoint]
+            oracle = circuit.endpoint_arrival(placement, endpoint)
+            assert abs(dp - oracle) <= 4 * math.ulp(max(abs(dp), abs(oracle)))
