@@ -589,12 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--error-rate", action="store_true")
     run.add_argument("--cycles", type=int, default=192)
     run.add_argument(
-        "--sim-backend", default="compiled",
+        "--sim-backend", default=None,
         choices=["event", "compiled", "vector"],
-        help="Table VIII simulation backend: the compile-once kernel"
-             " (default), the reference event-driven simulator, or the"
-             " lane-vectorized multi-seed engine; all three produce"
-             " bit-identical reports",
+        help="Table VIII simulation backend: the reference event-driven"
+             " simulator, the compile-once kernel, or the lane-vectorized"
+             " engine with its native C helper; all three produce"
+             " bit-identical reports (default: vector when the helper"
+             " builds, else compiled, with a warning naming why)",
     )
     run.add_argument(
         "--sta-mode", default="incremental",
@@ -654,11 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument("--cycles", type=int, default=128)
     tables.add_argument(
-        "--sim-backend", default="compiled",
+        "--sim-backend", default=None,
         choices=["event", "compiled", "vector"],
         help="Table VIII simulation backend (bit-identical reports;"
-             " 'compiled' is several times faster, 'vector' batches"
-             " seeds into NumPy lanes)",
+             " default: vector when its native helper builds, else"
+             " compiled, with a warning naming why)",
     )
     tables.add_argument(
         "--sta-mode", default="incremental",
@@ -816,10 +817,12 @@ def build_parser() -> argparse.ArgumentParser:
              " hardens with EDL masters",
     )
     scen.add_argument(
-        "--sim-backend", default="compiled",
+        "--sim-backend", default=None,
         choices=["event", "compiled", "vector"],
         help="simulation backend; all honour injection plans"
-             " bit-identically and render the identical report file",
+             " bit-identically and render the identical report file"
+             " (default: vector when its native helper builds, else"
+             " compiled)",
     )
     scen.add_argument(
         "--sim-seeds", type=int, default=1, metavar="N",

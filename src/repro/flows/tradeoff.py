@@ -61,7 +61,7 @@ def error_rate_tradeoff(
     scheme: Optional[ClockScheme] = None,
     cycles: int = 160,
     seed: int = 2017,
-    sim_backend: str = "compiled",
+    sim_backend: Optional[str] = None,
     retime_cache: bool = True,
     methods: Sequence[str] = ("grar",),
     harden_fractions: Sequence[float] = SELECTIVE_FRACTIONS,

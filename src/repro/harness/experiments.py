@@ -148,7 +148,7 @@ class ExperimentSuite:
         error_rate_cycles: int = 192,
         sim_seed: int = 2017,
         sim_seeds: Optional[Sequence[int]] = None,
-        sim_backend: str = "compiled",
+        sim_backend: Optional[str] = None,
         sta_mode: str = "incremental",
         sta_engine: str = "object",
         guard: Optional[str] = None,
@@ -172,6 +172,8 @@ class ExperimentSuite:
         self.sim_seeds: Tuple[int, ...] = (
             tuple(sim_seeds) if sim_seeds else (sim_seed,)
         )
+        #: ``None`` = the default backend, resolved at the first
+        #: simulation (:func:`repro.sim.errorrate.resolve_backend`).
         self.sim_backend = sim_backend
         self.sta_mode = sta_mode
         self.sta_engine = sta_engine

@@ -68,7 +68,7 @@ from repro.harness.experiments import (
     LEVELS,
 )
 from repro.netlist.netlist import Netlist
-from repro.sim import estimate_error_rate_batched
+from repro.sim import estimate_error_rate_batched, resolve_backend
 from repro.store import open_store, use_store
 
 #: Methods whose cells the full table set (I-IX + VI-D) reads.
@@ -145,7 +145,8 @@ class CellTask:
     #: (:func:`~repro.sim.batch.estimate_error_rate_batched`) and the
     #: cell reports the mean error rate.  Empty = ``(seed,)``.
     seeds: Tuple[int, ...] = ()
-    sim_backend: str = "compiled"
+    #: ``None`` = the default, resolved in the worker at simulation.
+    sim_backend: Optional[str] = None
     sta_mode: str = "incremental"
     sta_engine: str = "object"
     retime_cache: bool = True
@@ -369,6 +370,7 @@ def _run_point(task: CellTask, overhead: float) -> CellResult:
         else:
             result.record = dict(FlowRecord.from_outcome(outcome).__dict__)
             if need_rate:
+                result.sim_backend = resolve_backend(task.sim_backend)
                 try:
                     with stage_scope("simulate", circuit=task.circuit):
                         # One compile serves the whole seed sweep;
@@ -380,19 +382,17 @@ def _run_point(task: CellTask, overhead: float) -> CellResult:
                             outcome.edl_endpoints,
                             cycles=task.cycles,
                             seeds=task.seeds or (task.seed,),
-                            backend=task.sim_backend,
+                            backend=result.sim_backend,
                         )
                 except ReproError as exc:
                     exc.annotate(circuit=task.circuit)
                     result.error = exc.to_dict()
                     result.error_type = type(exc).__name__
                     result.error_rate = float("nan")
-                    result.sim_backend = task.sim_backend
                 else:
                     result.error_rate = sum(
                         r.error_rate for r in reports
                     ) / len(reports)
-                    result.sim_backend = reports[0].backend
                     result.sim_cycles_per_sec = reports[0].cycles_per_sec
     result.wall_s = time.perf_counter() - started
     result.metrics = collector.to_dict()
@@ -804,7 +804,12 @@ def run_suite_parallel(
     ]
     summary: Dict[str, Any] = {
         "jobs": jobs,
-        "sim_backend": suite.sim_backend,
+        # The backend the cells actually ran (the default resolves
+        # per worker); the suite's request when no cell simulated.
+        "sim_backend": next(
+            (r.sim_backend for r in results if r.sim_backend),
+            suite.sim_backend,
+        ),
         "sta_engine": suite.sta_engine,
         "sim_cells": len(sim_rates),
         "sim_cycles_per_sec": round(

@@ -45,7 +45,7 @@ from repro.errors import FlowStageError, ReproError
 from repro.flows.run import METHODS, prepare_circuit, run_flow
 from repro.netlist.netlist import Netlist
 from repro.scenarios.injectors import build_injection_plan
-from repro.sim import SIM_BACKENDS, estimate_error_rate_batched
+from repro.sim import estimate_error_rate_batched, resolve_backend
 from repro.store import (
     ArtifactStore,
     atomic_write_text,
@@ -155,7 +155,8 @@ class ScenarioTask:
     overhead: float
     cycles: int
     seed: int
-    sim_backend: str = "compiled"
+    #: ``None`` = the default, resolved in the worker at simulation.
+    sim_backend: Optional[str] = None
     #: the full Monte-Carlo seed sweep; empty means ``(seed,)``.
     #: ``seeds[0]`` is always the legacy lane-0 ``seed``.
     seeds: Tuple[int, ...] = ()
@@ -437,7 +438,7 @@ def run_scenarios(
     cycles: int = 96,
     seed: int = 2017,
     n_seeds: int = 1,
-    sim_backend: str = "compiled",
+    sim_backend: Optional[str] = None,
     guard: Optional[str] = None,
     jobs: int = 1,
     deadline_s: Optional[float] = None,
@@ -461,6 +462,10 @@ def run_scenarios(
     per-scenario seed, so single-seed memos stay valid); entries then
     carry the mean ``error_rate`` plus per-seed rates.
 
+    ``sim_backend=None`` resolves to the default backend here
+    (:func:`~repro.sim.errorrate.resolve_backend`), so the memo
+    config and the report name the backend that actually runs.
+
     ``store`` attaches an artifact store: workers run their flows
     under it (compiled problems and arenas shared across the matrix
     and across invocations), and a *persistent* store additionally
@@ -469,11 +474,9 @@ def run_scenarios(
     ``memo_path`` at all.  Reports are byte-identical with or without
     a store.
     """
-    if sim_backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {sim_backend!r}; "
-            f"expected one of {SIM_BACKENDS}"
-        )
+    # Resolved up front: the memo config and the report carry the
+    # backend that actually runs.
+    sim_backend = resolve_backend(sim_backend)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     for name, known, label in (

@@ -21,6 +21,7 @@ from repro.sim.errorrate import (
     SIM_BACKENDS,
     ErrorRateReport,
     estimate_error_rate,
+    resolve_backend,
 )
 from repro.sim.batch import estimate_error_rate_batched
 from repro.sim.vector import estimate_error_rate_vector
@@ -39,6 +40,7 @@ __all__ = [
     "estimate_error_rate",
     "estimate_error_rate_batched",
     "estimate_error_rate_vector",
+    "resolve_backend",
     "vcd_text",
     "write_vcd",
 ]

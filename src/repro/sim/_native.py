@@ -18,12 +18,12 @@ delay``, compiled with ``-ffp-contract=off`` so no fused ops can
 change a result), so it is bit-exact against the event and compiled
 oracles by construction.
 
-The helper is optional: it compiles lazily with the system C
-compiler into a content-hashed shared object under the temp
-directory (atomic rename, safe for concurrent workers).  When no
-compiler is available — or ``REPRO_VECTOR_NATIVE=0`` is set — the
-vector backend transparently falls back to its pure-NumPy gate
-stage, which implements identical semantics.
+:func:`load` builds the helper once per process with the system C
+compiler into a private per-user cache (``$XDG_CACHE_HOME/repro`` or
+``~/.cache/repro``, mode 0700), keyed by source, compiler identity,
+flags and platform, and checks its recorded sha256 before every
+``dlopen`` (DESIGN.md §16).  When it cannot, :func:`status` records
+why and the default backend falls back to ``compiled``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
+import stat
 import subprocess
 import tempfile
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -44,7 +47,8 @@ _SOURCE = r"""
 
 /* Evaluate one level-group of k-input gates across all lanes.
  *
- * Global waveform arrays are C-contiguous (n_slots, n_lanes, width);
+ * Global waveform arrays are C-contiguous (n_slots, n_lanes, width):
+ * float64 times and 0/1 int8 values (int64 counts/inits per row);
  * `ins` holds kmax slot ids per gate (missing pins point at the
  * dummy slot: count 0, initial 0).  Gates are visited in schedule
  * order, lanes inner.  Returns 0 on success; on event-cap overflow
@@ -59,7 +63,7 @@ int eval_gates(
     const double *delays,     /* (n_gates, kmax, 2) */
     const int64_t *tables,    /* (n_gates, 1 << kmax) */
     double *times,            /* (n_slots, n_lanes, width) */
-    int64_t *values,          /* (n_slots, n_lanes, width) */
+    int8_t *values,           /* (n_slots, n_lanes, width) */
     int64_t *counts,          /* (n_slots, n_lanes) */
     int64_t *inits,           /* (n_slots, n_lanes) */
     int64_t cap, double eps,
@@ -73,7 +77,7 @@ int eval_gates(
         int64_t oslot = out_slots[g];
         for (int64_t lane = 0; lane < n_lanes; lane++) {
             const double *tin[MAXK];
-            const int64_t *vin[MAXK];
+            const int8_t *vin[MAXK];
             int64_t len[MAXK], cur[MAXK], cc[MAXK], val[MAXK];
             int64_t mask = 0, total = 0;
             for (int64_t p = 0; p < kmax; p++) {
@@ -90,7 +94,7 @@ int eval_gates(
             int64_t out_init = tab[mask];
             int64_t orow = oslot * n_lanes + lane;
             double *tout = times + orow * width;
-            int64_t *vout = values + orow * width;
+            int8_t *vout = values + orow * width;
             int64_t old_count = counts[orow];
             int64_t ne = 0;       /* events written (pre-prune) */
             int64_t n_cand = 0;   /* deduped candidate count */
@@ -195,18 +199,18 @@ int eval_latches(
     const int64_t *src_slots, const int64_t *dst_slots,
     const int64_t *held,
     double t_open, double t_close, double d_q, double open_edge,
-    double *times, int64_t *values, int64_t *counts, int64_t *inits)
+    double *times, int8_t *values, int64_t *counts, int64_t *inits)
 {
     for (int64_t r = 0; r < n_rows; r++) {
         for (int64_t lane = 0; lane < n_lanes; lane++) {
             int64_t srow = src_slots[r] * n_lanes + lane;
             int64_t drow = dst_slots[r] * n_lanes + lane;
             const double *tin = times + srow * width;
-            const int64_t *vin = values + srow * width;
+            const int8_t *vin = values + srow * width;
             int64_t len = counts[srow];
             int64_t h = held[r * n_lanes + lane];
             double *tout = times + drow * width;
-            int64_t *vout = values + drow * width;
+            int8_t *vout = values + drow * width;
             int64_t old_count = counts[drow];
             /* bisect_right(times, t_open): the opening value */
             int64_t idx = 0;
@@ -249,79 +253,221 @@ int eval_latches(
 }
 """
 
-
-def _cache_path(digest: str) -> str:
-    return os.path.join(
-        tempfile.gettempdir(), "repro-veval-%s.so" % digest[:16]
-    )
+#: Compiler flags (part of the cache key).
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def _compile(digest: str) -> str:
-    """Compile the helper into the temp dir (atomic, concurrent-safe)."""
-    target = _cache_path(digest)
-    if os.path.exists(target):
-        return target
+class _Unavailable(Exception):
+    """The helper cannot be used; the message is the recorded reason."""
+
+
+@dataclass(frozen=True)
+class Status:
+    """The outcome of this process's one helper load: the loaded
+    object, or why there is none, plus what happened on the way (a
+    rejected cache dir, a rebuilt digest mismatch)."""
+
+    path: Optional[str]
+    reason: Optional[str]
+    notes: Tuple[str, ...] = ()
+
+
+_lib: Optional[ctypes.CDLL] = None
+_status: Optional[Status] = None
+
+
+def status() -> Optional[Status]:
+    """How :func:`load` went, or ``None`` before its first call."""
+    return _status
+
+
+def _compiler_identity() -> Tuple[str, str]:
+    """The C compiler's path and its ``--version`` text."""
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
-        raise OSError("no C compiler on PATH")
-    workdir = tempfile.mkdtemp(prefix="repro-veval-")
+        raise _Unavailable("no C compiler on PATH")
     try:
-        src = os.path.join(workdir, "veval.c")
-        obj = os.path.join(workdir, "veval.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_SOURCE)
-        subprocess.run(
-            [
-                compiler,
-                "-O2",
-                "-fPIC",
-                "-shared",
-                "-ffp-contract=off",
-                src,
-                "-o",
-                obj,
-            ],
-            check=True,
+        proc = subprocess.run(
+            [compiler, "--version"],
             capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
         )
-        os.replace(obj, target)  # atomic: last concurrent writer wins
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"{compiler} --version failed: {exc}") from exc
+    return compiler, proc.stdout.strip()
+
+
+def cache_key(
+    compiler: str, version: str, flags: Sequence[str] = FLAGS
+) -> str:
+    """Key of one build: source, compiler identity, flags, platform."""
+    text = "\0".join(
+        [_SOURCE, compiler, version, " ".join(flags), platform.platform()]
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _dir_problem(path: str) -> Optional[str]:
+    """Why ``path`` is not a private cache directory (``None`` if it is)."""
+    info = os.lstat(path)
+    if stat.S_ISLNK(info.st_mode):
+        return "a symlink"
+    if not stat.S_ISDIR(info.st_mode):
+        return "not a directory"
+    if info.st_uid != os.geteuid():
+        return "not owned by this user"
+    if info.st_mode & stat.S_IWOTH:
+        return "world-writable"
+    if info.st_mode & stat.S_IWGRP:
+        return "group-writable"
+    return None
+
+
+def private_cache_dir() -> str:
+    """The per-user helper cache, created with mode 0700."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec ignores relative paths
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "repro")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        problem = _dir_problem(path)
+    except OSError as exc:
+        problem = exc.strerror or str(exc)
+    if problem is not None:
+        raise _Unavailable(f"cache dir rejected: {problem}")
+    return path
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _record_path(directory: str, key: str) -> str:
+    return os.path.join(directory, f"veval-{key[:16]}.sha256")
+
+
+def _object_path(directory: str, key: str, digest: str) -> str:
+    return os.path.join(directory, f"veval-{key[:16]}-{digest[:16]}.so")
+
+
+def _verified(directory: str, key: str) -> Optional[str]:
+    """The cached helper if its sha256 matches the recorded digest.
+
+    The object's file name carries its digest, so concurrent builds
+    never overwrite each other's object with different bytes: the
+    record names one complete object, whichever build wrote it last.
+    """
+    try:
+        with open(_record_path(directory, key), encoding="ascii") as fh:
+            digest = fh.read().strip()
+        path = _object_path(directory, key, digest)
+        if _sha256(path) == digest:
+            return path
+    except (OSError, ValueError):
+        pass
+    return None
+
+
+def _build(directory: str, key: str, compiler: str) -> None:
+    """Compile into ``directory`` and record the object's digest."""
+    workdir = tempfile.mkdtemp(prefix=".build-", dir=directory)
+    try:
+        with open(os.path.join(workdir, "veval.c"), "w") as fh:
+            fh.write(_SOURCE)
+        try:
+            proc = subprocess.run(
+                [compiler, *FLAGS, "veval.c", "-o", "veval.so"],
+                cwd=workdir,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise _Unavailable(f"compile failed: {exc}") from exc
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines()
+            first = lines[0] if lines else f"exit status {proc.returncode}"
+            raise _Unavailable(f"compile failed: {first}")
+        obj = os.path.join(workdir, "veval.so")
+        digest = _sha256(obj)
+        os.replace(obj, _object_path(directory, key, digest))
+        record = os.path.join(workdir, "digest")
+        with open(record, "w", encoding="ascii") as fh:
+            fh.write(digest)
+        os.replace(record, _record_path(directory, key))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return target
 
 
-_UNSET = object()
-_lib: object = _UNSET
+def _helper_path(
+    directory: str, key: str, compiler: str, notes: List[str]
+) -> str:
+    """A verified helper in ``directory``, built (or rebuilt) if needed."""
+    path = _verified(directory, key)
+    if path is None:
+        if os.path.exists(_record_path(directory, key)):
+            notes.append("digest mismatch, rebuilt")
+        _build(directory, key, compiler)
+        path = _verified(directory, key)
+        if path is None:
+            raise _Unavailable("digest mismatch after rebuild")
+    return path
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    fn = lib.eval_gates
+    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 9 + [
+        ctypes.c_int64,
+        ctypes.c_double,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+    ]
+    fl = lib.eval_latches
+    fl.restype = ctypes.c_int
+    fl.argtypes = (
+        [ctypes.c_int64] * 3
+        + [ctypes.c_void_p] * 3
+        + [ctypes.c_double] * 4
+        + [ctypes.c_void_p] * 4
+    )
+    return lib
 
 
 def load() -> Optional[ctypes.CDLL]:
-    """The compiled helper, or ``None`` when unavailable/disabled."""
-    global _lib
-    if _lib is not _UNSET:
-        return _lib  # type: ignore[return-value]
-    if os.environ.get("REPRO_VECTOR_NATIVE", "1") == "0":
-        _lib = None
-        return None
+    """The compiled helper, or ``None`` when unavailable.
+
+    Runs the build/verify/load once per process; later calls return
+    the same result.  :func:`status` tells why it is ``None``.
+    """
+    global _lib, _status
+    if _status is not None:
+        return _lib
+    notes: List[str] = []
+    scratch = path = None
     try:
-        digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()
-        lib = ctypes.CDLL(_compile(digest))
-        fn = lib.eval_gates
-        fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 9 + [
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-        ]
-        fl = lib.eval_latches
-        fl.restype = ctypes.c_int
-        fl.argtypes = (
-            [ctypes.c_int64] * 3
-            + [ctypes.c_void_p] * 3
-            + [ctypes.c_double] * 4
-            + [ctypes.c_void_p] * 4
+        compiler, version = _compiler_identity()
+        try:
+            directory = private_cache_dir()
+        except _Unavailable as exc:
+            notes.append(str(exc))
+            directory = scratch = tempfile.mkdtemp(prefix="repro-veval-")
+        path = _helper_path(
+            directory, cache_key(compiler, version), compiler, notes
         )
-        _lib = lib
-    except Exception:
-        _lib = None
-    return _lib  # type: ignore[return-value]
+        _lib = _bind(ctypes.CDLL(path))
+        reason = None
+    except _Unavailable as exc:
+        reason = str(exc)
+    except (OSError, AttributeError) as exc:  # I/O, dlopen, symbols
+        reason = f"load failed: {exc}"
+    finally:
+        if scratch is not None:
+            # The mapping outlives the file: nothing else may load it.
+            shutil.rmtree(scratch, ignore_errors=True)
+    _status = Status(path if reason is None else None, reason, tuple(notes))
+    return _lib

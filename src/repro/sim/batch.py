@@ -32,7 +32,7 @@ from repro import metrics
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import TwoPhaseCircuit
 from repro.scenarios.injectors import InjectionPlan
-from repro.sim.errorrate import ErrorRateReport, _CycleLoop
+from repro.sim.errorrate import ErrorRateReport, _CycleLoop, resolve_backend
 from repro.sim.logicsim import MAX_EVENTS_PER_NET
 
 
@@ -43,7 +43,7 @@ def estimate_error_rate_batched(
     cycles: int = 256,
     seeds: Sequence[int] = (2017,),
     toggle_probability: float = 0.5,
-    backend: str = "compiled",
+    backend: Optional[str] = None,
     max_events_per_net: int = MAX_EVENTS_PER_NET,
     injection: Optional[InjectionPlan] = None,
 ) -> List[ErrorRateReport]:
@@ -55,9 +55,11 @@ def estimate_error_rate_batched(
     ``cycles_per_sec`` field (excluded from report comparison) carries
     the *aggregate* batch throughput — total lane-cycles over the
     shared wall clock — since the per-lane split of a batched pass is
-    not meaningful.
+    not meaningful.  ``backend=None`` picks the default
+    (:func:`~repro.sim.errorrate.resolve_backend`).
     """
     plan = injection or InjectionPlan()
+    backend = resolve_backend(backend)
     if backend == "vector":
         from repro.sim.vector import estimate_error_rate_vector
 

@@ -7,23 +7,30 @@ error-detecting master transitions inside the timing-resiliency window
 the window — the flows' constraints guarantee it, and the estimator
 verifies it (``non_edl_violations``).
 
-Two interchangeable backends evaluate the cycles:
+Three interchangeable backends evaluate the cycles:
 
 * ``"event"`` — the reference :class:`~repro.sim.logicsim.TimedSimulator`,
-  re-deriving delays and waveform lookups per cycle;
-* ``"compiled"`` (default) — :class:`~repro.sim.kernel.CompiledSimulator`,
+  re-deriving delays and waveform lookups per cycle (the oracle);
+* ``"compiled"`` — :class:`~repro.sim.kernel.CompiledSimulator`,
   which compiles the cycle-invariant work once and is bit-identical to
   the event backend (the parity test in
   ``tests/test_sim_regressions.py`` is the acceptance gate);
 * ``"vector"`` — :mod:`repro.sim.vector`, which reuses the compiled
   schedule but makes the Monte-Carlo seed axis a NumPy array
-  dimension, advancing every seed per pass (bit-identical per-seed
-  reports; single-seed calls run as one lane).
+  dimension and evaluates gates and latches in a native C helper
+  (:mod:`repro.sim._native`), advancing every seed per pass
+  (bit-identical per-seed reports; single-seed calls run as one lane).
+
+``backend=None`` (the default everywhere) is resolved by
+:func:`resolve_backend` at the first simulation call: ``"vector"``
+when the native helper loads, else ``"compiled"``, with one
+``RuntimeWarning`` per process naming why the helper is unavailable.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
@@ -34,11 +41,45 @@ from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import TwoPhaseCircuit
 from repro.netlist.netlist import GateType
 from repro.scenarios.injectors import InjectionPlan
+from repro.sim import _native
 from repro.sim.logicsim import MAX_EVENTS_PER_NET, TimedSimulator
 from repro.sim.vectors import VectorSource
 
 #: Valid values of the ``backend`` switch.
 SIM_BACKENDS = ("event", "compiled", "vector")
+
+_fallback_warned = False
+
+
+def resolve_backend(backend: Optional[str]) -> str:
+    """The backend a simulation call runs.
+
+    An explicit ``backend`` is validated and returned.  ``None`` is
+    the default: ``"vector"`` when the native helper loads, else
+    ``"compiled"``.  The fallback counts ``sim.native.unavailable``
+    and warns once per process with the recorded reason.
+    """
+    global _fallback_warned
+    if backend is not None:
+        if backend not in SIM_BACKENDS:
+            raise ValueError(
+                f"unknown simulation backend {backend!r}; "
+                f"expected one of {SIM_BACKENDS}"
+            )
+        return backend
+    if _native.load() is not None:
+        return "vector"
+    metrics.count("sim.native.unavailable")
+    if not _fallback_warned:
+        _fallback_warned = True
+        warnings.warn(
+            "native simulation helper unavailable "
+            f"({_native.status().reason}); the default simulation "
+            "backend falls back to 'compiled'",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return "compiled"
 
 
 @dataclass
@@ -150,17 +191,8 @@ class _CycleLoop:
         backend: str,
         max_events_per_net: int,
     ) -> None:
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown simulation backend {backend!r}; "
-                f"expected one of {SIM_BACKENDS}"
-            )
-        if backend == "vector":
-            raise ValueError(
-                "_CycleLoop drives the per-lane dict backends; the "
-                "vector backend advances all lanes at once — callers "
-                "dispatch to repro.sim.vector before building the loop"
-            )
+        # Callers resolve the backend and dispatch "vector" to
+        # repro.sim.vector, which advances all lanes at once.
         netlist = circuit.netlist
         _check_plan_targets(netlist, plan, placement)
         self.backend = backend
@@ -289,7 +321,7 @@ def estimate_error_rate(
     cycles: int = 256,
     seed: int = 2017,
     toggle_probability: float = 0.5,
-    backend: str = "compiled",
+    backend: Optional[str] = None,
     max_events_per_net: int = MAX_EVENTS_PER_NET,
     injection: Optional[InjectionPlan] = None,
 ) -> ErrorRateReport:
@@ -298,10 +330,12 @@ def estimate_error_rate(
     ``injection`` perturbs the run with a resolved
     :class:`~repro.scenarios.injectors.InjectionPlan` — delay-corner
     scaling, per-cycle glitch pulses, and SEU capture-state flips.
-    Both backends honour the same plan identically (the bit-parity
-    contract extends to injected runs).
+    Every backend honours the same plan identically (the bit-parity
+    contract extends to injected runs).  ``backend=None`` picks the
+    default (:func:`resolve_backend`).
     """
     plan = injection or InjectionPlan()
+    backend = resolve_backend(backend)
     if backend == "vector":
         from repro.sim.vector import estimate_error_rate_vector
 

@@ -39,7 +39,7 @@ per suite circuit and placement.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cells.cell import CombCell
 from repro.errors import NetlistError
@@ -79,6 +79,85 @@ def _glitched(
     for spec in specs:
         times, values = glitch_events(initial, times, values, spec)
     return (initial, times, values)
+
+
+def _eval_wide(
+    name: str,
+    waves_in: Sequence[_Wave],
+    delays: Sequence[Sequence[float]],
+    table: Optional[Sequence[int]],
+    evaluate: Callable[[List[int]], int],
+    max_events: int,
+) -> Tuple[int, List[Tuple[float, int]]]:
+    """The n-input candidate loop of one gate: ``(initial, events)``.
+
+    ``events`` are the output transitions after preemption, before the
+    value-change prune (empty when no input transitions).  Shared by
+    the kernel's wider-than-two-input gates and the vector backend's
+    untabulated gates.  ``table`` may be ``None`` (use ``evaluate``).
+    """
+    times_set: set = set()
+    for wave in waves_in:
+        times_set.update(wave[1])
+    n_events = len(times_set)
+    if n_events > max_events:
+        check_event_cap(name, n_events, max_events)
+    current = [wave[0] for wave in waves_in]
+    if table is not None:
+        mask = 0
+        for i, bit in enumerate(current):
+            mask |= bit << i
+        out_initial = table[mask]
+    else:
+        out_initial = evaluate(current)
+    events: List[Tuple[float, int]] = []
+    if not n_events:
+        return out_initial, events
+    k = len(waves_in)
+    pins = range(k)
+    times_in = [wave[1] for wave in waves_in]
+    values_in = [wave[2] for wave in waves_in]
+    lengths = [len(t) for t in times_in]
+    value_cursor = [0] * k
+    cause_cursor = [0] * k
+    for when in sorted(times_set):
+        for i in pins:
+            in_times = times_in[i]
+            cursor = value_cursor[i]
+            end = lengths[i]
+            if cursor < end and in_times[cursor] <= when:
+                while cursor < end and in_times[cursor] <= when:
+                    cursor += 1
+                current[i] = values_in[i][cursor - 1]
+                value_cursor[i] = cursor
+        if table is not None:
+            mask = 0
+            for i, bit in enumerate(current):
+                mask |= bit << i
+            new_value = table[mask]
+        else:
+            new_value = evaluate(current)
+        delay = 0.0
+        lo_bound = when - _EPS
+        hi_bound = when + _EPS
+        for i in pins:
+            end = lengths[i]
+            if not end:
+                continue
+            in_times = times_in[i]
+            cursor = cause_cursor[i]
+            while cursor < end and in_times[cursor] <= lo_bound:
+                cursor += 1
+            cause_cursor[i] = cursor
+            if cursor < end and in_times[cursor] < hi_bound:
+                arc_delay = delays[i][new_value]
+                if arc_delay > delay:
+                    delay = arc_delay
+        out_time = when + delay
+        while events and events[-1][0] >= out_time:
+            events.pop()
+        events.append((out_time, new_value))
+    return out_initial, events
 
 
 class CompiledSimulator:
@@ -414,79 +493,20 @@ class CompiledSimulator:
                 if n_candidates > max_events:
                     check_event_cap(name, n_candidates, max_events)
             else:
-                waves_in = [slots[s] for s in in_slots]
-                times_set: set = set()
-                for wave in waves_in:
-                    times_set.update(wave[1])
-                n_events = len(times_set)
-                if n_events > max_events:
-                    check_event_cap(name, n_events, max_events)
-                current = [wave[0] for wave in waves_in]
-                if table is not None:
-                    mask = 0
-                    for i, bit in enumerate(current):
-                        mask |= bit << i
-                    out_initial = table[mask]
-                else:
-                    out_initial = evaluate(current)
-                if not n_events:
+                out_initial, events = _eval_wide(
+                    name,
+                    [slots[s] for s in in_slots],
+                    delays,
+                    table,
+                    evaluate,
+                    max_events,
+                )
+                if not events:
                     slots[out_slot] = _glitched(
                         (out_initial, _EMPTY, _EMPTY),
                         glitch_map.get(name),
                     )
                     continue
-                candidate_times = sorted(times_set)
-                k = len(waves_in)
-                pins = range(k)
-                times_in = [wave[1] for wave in waves_in]
-                values_in = [wave[2] for wave in waves_in]
-                lengths = [len(t) for t in times_in]
-                value_cursor = [0] * k
-                cause_cursor = [0] * k
-                events = []
-                for when in candidate_times:
-                    for i in pins:
-                        in_times = times_in[i]
-                        cursor = value_cursor[i]
-                        end = lengths[i]
-                        if cursor < end and in_times[cursor] <= when:
-                            while (
-                                cursor < end
-                                and in_times[cursor] <= when
-                            ):
-                                cursor += 1
-                            current[i] = values_in[i][cursor - 1]
-                            value_cursor[i] = cursor
-                    if table is not None:
-                        mask = 0
-                        for i, bit in enumerate(current):
-                            mask |= bit << i
-                        new_value = table[mask]
-                    else:
-                        new_value = evaluate(current)
-                    delay = 0.0
-                    lo_bound = when - _EPS
-                    hi_bound = when + _EPS
-                    for i in pins:
-                        end = lengths[i]
-                        if not end:
-                            continue
-                        in_times = times_in[i]
-                        cursor = cause_cursor[i]
-                        while (
-                            cursor < end
-                            and in_times[cursor] <= lo_bound
-                        ):
-                            cursor += 1
-                        cause_cursor[i] = cursor
-                        if cursor < end and in_times[cursor] < hi_bound:
-                            arc_delay = delays[i][new_value]
-                            if arc_delay > delay:
-                                delay = arc_delay
-                    out_time = when + delay
-                    while events and events[-1][0] >= out_time:
-                        events.pop()
-                    events.append((out_time, new_value))
 
             out_times: List[float] = []
             out_values: List[int] = []

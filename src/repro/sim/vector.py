@@ -13,10 +13,14 @@ The compile is reused, not duplicated: :class:`_VectorLanes` consumes
 a :class:`~repro.sim.kernel.CompiledSimulator` (slot assignment, topo
 schedule, per-pin arc delays, truth tables, latch-state keys) and only
 regroups its schedule by (topological level, fanin arity) so that all
-k-input gates of a level evaluate as one set of array ops.
+k-input gates of a level evaluate in one call of the native helper
+(:mod:`repro.sim._native`), which also runs the latch stages; without
+it the estimator raises a typed :class:`~repro.errors.SimulationError`
+naming the reason.
 
-**Parity is the contract**, exactly as for the kernel: the vectorized
-primitives are algebraic twins of the kernel's event loops —
+**Parity is the contract**, exactly as for the kernel: the helper's C
+loops mirror the kernel's event loops, and the NumPy primitives left
+(source launch, glitches, endpoint scan) are algebraic twins of them —
 
 * preemption (``while events and events[-1][0] >= out_time: pop``)
   becomes a suffix-strict-minimum survivorship: an event survives iff
@@ -25,9 +29,7 @@ primitives are algebraic twins of the kernel's event loops —
   previous surviving value (for 0/1 signals the running value after
   element *i* always equals ``values[i]``, kept or not);
 * the inclusive ``value_at`` becomes a broadcast
-  ``count(times <= t)`` gather, the causing-pin test a broadcast
-  ``t in (when - 1e-15, when + 1e-15)`` window, and candidate sets a
-  per-lane sort with exact-equality dedup —
+  ``count(times <= t)`` gather —
 
 so every float is produced by the same IEEE-754 operations on the
 same operands and the per-seed :class:`ErrorRateReport` (including
@@ -49,17 +51,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.sim import _native
-
 from repro import metrics
+from repro.errors import SimulationError
 from repro.latches.placement import SlavePlacement
 from repro.latches.resilient import TwoPhaseCircuit
 from repro.scenarios.injectors import GlitchSpec, InjectionPlan
+from repro.sim import _native
 from repro.sim.errorrate import (
     ErrorRateReport,
     _check_plan_targets,
 )
-from repro.sim.kernel import _EPS, CompiledSimulator
+from repro.sim.kernel import _EPS, CompiledSimulator, _eval_wide
 from repro.sim.logicsim import MAX_EVENTS_PER_NET, check_event_cap
 from repro.sim.vectors import VectorSource
 
@@ -163,48 +165,6 @@ def _normalize(
     return _compact(out_times, out_values, keep)
 
 
-def _count_le(sorted_times: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per query ``q``: how many times are <= ``q`` (both sorted).
-
-    A stable argsort of ``[times | queries]`` ranks each query after
-    every time it ties with (times come first in the concatenation),
-    so a query's merged rank minus its own index among the queries is
-    exactly the inclusive ``bisect_right`` count — O((w+C) log) per
-    lane instead of the O(w*C) broadcast compare.  +inf padding in
-    either operand yields garbage counts only for +inf queries, which
-    callers mask.
-    """
-    w = sorted_times.shape[-1]
-    c = queries.shape[-1]
-    merged = np.concatenate(
-        [sorted_times, np.broadcast_to(queries, sorted_times.shape[:-1] + (c,))],
-        axis=-1,
-    )
-    order = np.argsort(merged, axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(w + c), axis=-1)
-    return rank[..., w:] - np.arange(c)
-
-
-def _count_lt(sorted_times: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per query ``q``: how many times are strictly < ``q``.
-
-    Same merged-rank trick with the queries *first* in the
-    concatenation, so ties rank the query before the equal times —
-    the strict ``bisect_left`` count.
-    """
-    w = sorted_times.shape[-1]
-    c = queries.shape[-1]
-    merged = np.concatenate(
-        [np.broadcast_to(queries, sorted_times.shape[:-1] + (c,)), sorted_times],
-        axis=-1,
-    )
-    order = np.argsort(merged, axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(w + c), axis=-1)
-    return rank[..., :c] - np.arange(c)
-
-
 def _value_at(
     times: np.ndarray,
     values: np.ndarray,
@@ -298,6 +258,7 @@ class _VectorLanes:
         toggle_probability: float,
         cycles: int,
         plan: InjectionPlan,
+        native: ctypes.CDLL,
     ) -> None:
         self.kernel = kernel
         self.plan = plan
@@ -312,7 +273,7 @@ class _VectorLanes:
         self._w_open = scheme.window_open
         self._w_close = scheme.window_close
         self._cap = kernel.max_events_per_net
-        self._native = _native.load()
+        self._native = native
         L = self.n_lanes
 
         # -- state index (same keys as the dict the kernel maintains) --
@@ -415,7 +376,7 @@ class _VectorLanes:
         gate_groups: Dict[int, List[tuple]] = {}
         py_groups: Dict[int, List[tuple]] = {}
         max_level = 0
-        for pos, entry in enumerate(kernel._schedule):
+        for entry in kernel._schedule:
             name, out_slot, in_slots, latch_ops, delays, table, _ev = entry
             for src_slot, dst_slot, key in latch_ops:
                 dst_src[dst_slot] = src_slot
@@ -432,9 +393,9 @@ class _VectorLanes:
                     (src_slot, dst_slot, self._state_index[key])
                 )
             if table is None:
-                py_groups.setdefault(level, []).append((pos, entry))
+                py_groups.setdefault(level, []).append(entry)
             else:
-                gate_groups.setdefault(level, []).append((pos, entry))
+                gate_groups.setdefault(level, []).append(entry)
 
         def pack_latch(ops: List[Tuple[int, int, int]]) -> tuple:
             arr = np.asarray(ops, dtype=np.intp)
@@ -446,12 +407,9 @@ class _VectorLanes:
 
         def pack_gates(entries: List[tuple]) -> tuple:
             n = len(entries)
-            kmax = max(len(e[1][2]) for e in entries)
-            names = [e[1][0] for e in entries]
-            pos = np.asarray([e[0] for e in entries], dtype=np.int64)
-            out = np.ascontiguousarray(
-                [e[1][1] for e in entries], dtype=np.int64
-            )
+            kmax = max(len(e[2]) for e in entries)
+            names = [e[0] for e in entries]
+            out = np.ascontiguousarray([e[1] for e in entries], dtype=np.int64)
             ins = np.full((n, kmax), self._dummy_slot, dtype=np.int64)
             # True 1-input gates keep the kernel's fast-path
             # semantics: the single pin always causes, without the
@@ -460,7 +418,7 @@ class _VectorLanes:
             single = np.zeros(n, dtype=np.int64)
             delays = np.zeros((n, kmax, 2), dtype=np.float64)
             tables = np.empty((n, 1 << kmax), dtype=np.int64)
-            for row, (_pos, entry) in enumerate(entries):
+            for row, entry in enumerate(entries):
                 in_slots = entry[2]
                 k = len(in_slots)
                 ins[row, :k] = in_slots
@@ -470,9 +428,7 @@ class _VectorLanes:
                     np.asarray(entry[5], dtype=np.int64),
                     1 << (kmax - k),
                 )
-            return (
-                "gate", kmax, names, pos, out, ins, delays, tables, single
-            )
+            return ("gate", kmax, names, out, ins, delays, tables, single)
 
         self._stages: List[tuple] = []
         for level in range(1, max_level + 1):
@@ -524,7 +480,7 @@ class _VectorLanes:
         n_slots = kernel._n_slots + 1
         self._width = 4
         self._times = np.full((n_slots, L, self._width), _INF)
-        self._values = np.zeros((n_slots, L, self._width), dtype=np.int64)
+        self._values = np.zeros((n_slots, L, self._width), dtype=np.int8)
         self._counts = np.zeros((n_slots, L), dtype=np.int64)
         self._inits = np.zeros((n_slots, L), dtype=np.int64)
 
@@ -547,7 +503,7 @@ class _VectorLanes:
         self._values = np.concatenate(
             [
                 self._values,
-                np.zeros(self._values.shape[:2] + (pad,), dtype=np.int64),
+                np.zeros(self._values.shape[:2] + (pad,), dtype=np.int8),
             ],
             axis=-1,
         )
@@ -629,95 +585,30 @@ class _VectorLanes:
         state[self._src_state] = launch
 
     def _run_latch(self, stage: tuple) -> None:
+        """One stage of latch transforms via the compiled helper."""
         _, src_slots, dst_slots, state_idx = stage
         held = self._state[state_idx]  # fancy index: contiguous copy
-        if self._native is not None:
-            # Worst case per output: every input event plus the lead.
-            need = int(self._counts[src_slots].max(initial=0)) + 1
-            self._ensure_width(need)
-            self._native.eval_latches(
-                len(src_slots),
-                self.n_lanes,
-                self._width,
-                src_slots.ctypes.data,
-                dst_slots.ctypes.data,
-                held.ctypes.data,
-                self._t_open,
-                self._t_close,
-                self._d_q,
-                self._open_edge,
-                self._times.ctypes.data,
-                self._values.ctypes.data,
-                self._counts.ctypes.data,
-                self._inits.ctypes.data,
-            )
-            return
-        times, values, counts, inits = self._read(src_slots)
-        t_o, v_o, c_o = self._latch_batch(times, values, counts, inits, held)
-        self._write(dst_slots, t_o, v_o, c_o, held)
-
-    def _raise_cap(
-        self, names: List[str], pos: np.ndarray, counts: np.ndarray
-    ) -> None:
-        over = (counts > self._cap).any(axis=-1)
-        rows = np.nonzero(over)[0]
-        row = rows[np.argmin(pos[rows])]
-        lane = int(np.nonzero(counts[row] > self._cap)[0][0])
-        check_event_cap(names[row], int(counts[row, lane]), self._cap)
+        # Worst case per output: every input event plus the lead.
+        need = int(self._counts[src_slots].max(initial=0)) + 1
+        self._ensure_width(need)
+        self._native.eval_latches(
+            len(src_slots),
+            self.n_lanes,
+            self._width,
+            src_slots.ctypes.data,
+            dst_slots.ctypes.data,
+            held.ctypes.data,
+            self._t_open,
+            self._t_close,
+            self._d_q,
+            self._open_edge,
+            self._times.ctypes.data,
+            self._values.ctypes.data,
+            self._counts.ctypes.data,
+            self._inits.ctypes.data,
+        )
 
     def _run_gatek(self, stage: tuple) -> None:
-        """One level of gates, split into live-width buckets.
-
-        The dense candidate rectangle costs O(n * L * k^2 * w^2) for a
-        level-wide event width ``w`` — one busy net would make every
-        quiet gate pay its width.  Each cycle the level's gates are
-        partitioned by their current live width (max input events over
-        lanes) into power-of-two buckets, so the typical 0/1-event
-        gate runs in a width-1 rectangle regardless of the hot tail.
-        """
-        _, k, names, pos, out, ins, delays, tables, single = stage
-        if self._native is not None:
-            self._run_gatek_native(stage)
-            return
-        live = self._counts[ins].max(axis=(1, 2))  # (n,)
-        top = int(live.max(initial=0))
-        lo = 0
-        while True:
-            hi = 1 if lo == 0 else lo * 2
-            rows = np.nonzero((live > lo) & (live <= hi))[0]
-            if rows.size:
-                self._run_gate_bucket(
-                    k,
-                    [names[r] for r in rows],
-                    pos[rows],
-                    out[rows],
-                    ins[rows],
-                    delays[rows],
-                    tables[rows],
-                    single[rows],
-                )
-            if hi >= top:
-                break
-            lo = hi
-        rows = np.nonzero(live == 0)[0]
-        if rows.size:
-            # No input events anywhere: the output is the constant
-            # table value of the initial input values.
-            inits = self._inits[ins[rows]].transpose(0, 2, 1)  # (m, L, k)
-            weights = np.int64(1) << np.arange(k, dtype=np.int64)
-            out_init = tables[rows][
-                np.arange(rows.size)[:, None], (inits * weights).sum(-1)
-            ]
-            shape = out_init.shape + (0,)
-            self._write(
-                out[rows],
-                np.empty(shape),
-                np.empty(shape, dtype=np.int64),
-                np.zeros(out_init.shape, dtype=np.int64),
-                out_init,
-            )
-
-    def _run_gatek_native(self, stage: tuple) -> None:
         """Whole-level gate evaluation via the compiled helper.
 
         The helper walks gates in schedule order, lanes inner, and
@@ -725,7 +616,7 @@ class _VectorLanes:
         is grown up front to the worst-case candidate count (the sum
         of the input event counts) so every output wave fits.
         """
-        _, k, names, pos, out, ins, delays, tables, single = stage
+        _, k, names, out, ins, delays, tables, single = stage
         need = int(self._counts[ins].sum(axis=1).max(initial=0))
         self._ensure_width(need)
         err_gate = ctypes.c_int64(0)
@@ -754,84 +645,10 @@ class _VectorLanes:
                 names[err_gate.value], err_count.value, self._cap
             )
 
-    def _run_gate_bucket(
-        self,
-        k: int,
-        names: List[str],
-        pos: np.ndarray,
-        out: np.ndarray,
-        ins: np.ndarray,
-        delays: np.ndarray,
-        tables: np.ndarray,
-        single: np.ndarray,
-    ) -> None:
-        n = len(names)
-        times, values, counts, inits = self._read(ins)  # (n, k, L, w)
-        times = times.transpose(0, 2, 1, 3).copy()  # (n, L, k, w)
-        values = values.transpose(0, 2, 1, 3)
-        inits = inits.transpose(0, 2, 1)  # (n, L, k)
-        weights = np.int64(1) << np.arange(k, dtype=np.int64)
-        gid = np.arange(n)
-        init_mask = (inits * weights).sum(axis=-1)
-        out_init = tables[gid[:, None], init_mask]
-        w = times.shape[-1]
-        L = times.shape[1]
-        # Candidate set: per-lane sorted union with exact-equality
-        # dedup — the same set the kernel's 2-input merge loop and
-        # n-input sorted(set(...)) produce.
-        cand = np.sort(times.reshape(n, L, k * w), axis=-1)
-        finite = cand < _INF
-        dedup = np.ones_like(finite)
-        dedup[..., 1:] = cand[..., 1:] != cand[..., :-1]
-        cand, _, n_cand = _compact(cand, cand, finite & dedup)
-        if (n_cand > self._cap).any():
-            self._raise_cap(names, pos, n_cand)
-        C = cand.shape[-1]
-        if C == 0:
-            shape = out_init.shape + (0,)
-            self._write(
-                out,
-                np.empty(shape),
-                np.empty(shape, dtype=np.int64),
-                np.zeros(out_init.shape, dtype=np.int64),
-                out_init,
-            )
-            return
-        col_valid = np.arange(C) < n_cand[..., None]
-        # Per-pin inclusive value at each candidate (count of
-        # transitions <= when, then gather) — the candidate axis
-        # broadcasts against the event axis; widths are small (trimmed
-        # to the level's live maximum) so the O(C*w) compare beats
-        # sort-based merging.  All result shapes are (n, L, k, C).
-        t5 = times[:, :, :, None, :]  # (n, L, k, 1, w)
-        c5 = cand[:, :, None, :, None]  # (n, L, 1, C, 1)
-        idx = (t5 <= c5).sum(axis=-1)
-        pin_v = np.take_along_axis(
-            values, np.clip(idx - 1, 0, w - 1), axis=-1
-        )
-        pin_v = np.where(idx > 0, pin_v, inits[..., None])
-        mask = (pin_v * weights[:, None]).sum(axis=2)  # (n, L, C)
-        out_v = tables[gid[:, None, None], mask]
-        # Causing pins: any transition inside (when-eps, when+eps).
-        cause = ((t5 > c5 - _EPS) & (t5 < c5 + _EPS)).any(axis=-1)
-        arc = delays[
-            gid[:, None, None, None],
-            np.arange(k)[None, None, :, None],
-            out_v[:, :, None, :],
-        ]  # (n, L, k, C)
-        delay = np.where(cause, arc, 0.0).max(axis=2)
-        srows = np.nonzero(single)[0]
-        if srows.size:
-            # Kernel 1-input fast path: the lone pin always causes.
-            delay[srows] = arc[srows, :, 0, :]
-        out_t = cand + delay
-        t_o, v_o, c_o = _normalize(out_t, out_v, col_valid, out_init)
-        self._write(out, t_o, v_o, c_o, out_init)
-
     def _run_pygate(self, stage: tuple) -> None:
         """Per-lane fallback for untabulated (> 10 input) gates —
         literally the kernel's n-input loop per lane."""
-        for pos, entry in stage[1]:
+        for entry in stage[1]:
             name, out_slot, in_slots, _ops, delays, _table, evaluate = entry
             slot_arr = np.asarray(in_slots, dtype=np.intp)
             times, values, counts, inits = self._read(slot_arr)
@@ -989,55 +806,7 @@ class _VectorLanes:
 
 def _pygate_lane(name, waves, delays, evaluate, cap):
     """Kernel n-input evaluation for one lane (untabulated fallback)."""
-    times_set: set = set()
-    for wave in waves:
-        times_set.update(wave[1])
-    n_events = len(times_set)
-    if n_events > cap:
-        check_event_cap(name, n_events, cap)
-    current = [wave[0] for wave in waves]
-    out_initial = evaluate(current)
-    if not n_events:
-        return ([], [], out_initial)
-    candidate_times = sorted(times_set)
-    k = len(waves)
-    times_in = [wave[1] for wave in waves]
-    values_in = [wave[2] for wave in waves]
-    lengths = [len(t) for t in times_in]
-    value_cursor = [0] * k
-    cause_cursor = [0] * k
-    events: List[Tuple[float, int]] = []
-    for when in candidate_times:
-        for i in range(k):
-            in_times = times_in[i]
-            cursor = value_cursor[i]
-            end = lengths[i]
-            if cursor < end and in_times[cursor] <= when:
-                while cursor < end and in_times[cursor] <= when:
-                    cursor += 1
-                current[i] = values_in[i][cursor - 1]
-                value_cursor[i] = cursor
-        new_value = evaluate(current)
-        delay = 0.0
-        lo_bound = when - _EPS
-        hi_bound = when + _EPS
-        for i in range(k):
-            end = lengths[i]
-            if not end:
-                continue
-            in_times = times_in[i]
-            cursor = cause_cursor[i]
-            while cursor < end and in_times[cursor] <= lo_bound:
-                cursor += 1
-            cause_cursor[i] = cursor
-            if cursor < end and in_times[cursor] < hi_bound:
-                arc_delay = delays[i][new_value]
-                if arc_delay > delay:
-                    delay = arc_delay
-        out_time = when + delay
-        while events and events[-1][0] >= out_time:
-            events.pop()
-        events.append((out_time, new_value))
+    out_initial, events = _eval_wide(name, waves, delays, None, evaluate, cap)
     out_times: List[float] = []
     out_values: List[int] = []
     value = out_initial
@@ -1071,8 +840,17 @@ def estimate_error_rate_vector(
     the event or compiled backend for every seed ``s`` — the parity
     suite in ``tests/test_sim_vector.py`` is the acceptance gate.
     ``cycles_per_sec`` carries the aggregate lane throughput of the
-    whole batch (``None`` when the wall clock read zero).
+    whole batch (``None`` when the wall clock read zero).  Raises
+    :class:`~repro.errors.SimulationError` naming the reason when the
+    native helper (:mod:`repro.sim._native`) is unavailable.
     """
+    native = _native.load()
+    if native is None:
+        reason = _native.status().reason
+        raise SimulationError(
+            f"the vector backend needs the native helper: {reason}",
+            payload={"reason": reason},
+        )
     plan = injection or InjectionPlan()
     _check_plan_targets(circuit.netlist, plan, placement)
     kernel = CompiledSimulator(
@@ -1086,7 +864,13 @@ def estimate_error_rate_vector(
     for base in range(0, len(seeds), max(1, lane_block)):
         block = seeds[base : base + max(1, lane_block)]
         lanes = _VectorLanes(
-            kernel, edl_endpoints, block, toggle_probability, cycles, plan
+            kernel,
+            edl_endpoints,
+            block,
+            toggle_probability,
+            cycles,
+            plan,
+            native,
         )
         for cycle in range(cycles):
             lanes.run_cycle(cycle)

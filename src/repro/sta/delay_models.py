@@ -8,7 +8,7 @@ primary-output markers) have zero delay.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.cells.cell import CombCell
 from repro.errors import NetlistError
@@ -43,7 +43,12 @@ class DelayCalculator:
         self.load_model = load_model or LoadModel()
         self._loads: Dict[str, float] = {}
         self._slews: Dict[str, float] = {}
-        self._edge_cache: Dict[Tuple[str, str], float] = {}
+        #: sink -> driver -> delay of ``sink`` driven from ``driver``.
+        self._edge_cache: Dict[str, Dict[str, float]] = {}
+        #: driver -> the sinks whose rows cache it, so eviction costs
+        #: O(dirty) instead of a scan of the whole cache (lists: far
+        #: smaller than sets at typical fanouts).
+        self._edge_sinks: Dict[str, List[str]] = {}
         self._dirty = True
         #: Gates whose load/slew/arcs must be repaired before the next
         #: query (fed by netlist change events, drained by _refresh).
@@ -64,6 +69,7 @@ class DelayCalculator:
         """Drop caches after a netlist mutation (e.g. sizing)."""
         self._dirty = True
         self._edge_cache.clear()
+        self._edge_sinks.clear()
         self._pending_dirty.clear()
 
     def _refresh(self) -> None:
@@ -98,12 +104,22 @@ class DelayCalculator:
             if gate.gtype is GateType.OUTPUT:
                 continue
             self._slews[name] = self._slew_of(gate)
-        for key in [
-            k
-            for k in self._edge_cache
-            if k[0] in dirty or k[1] in dirty
-        ]:
-            del self._edge_cache[key]
+        self._evict_edges(dirty)
+
+    def _evict_edges(self, dirty: Set[str]) -> None:
+        """Drop every cached edge delay with an endpoint in ``dirty``."""
+        cache, sinks = self._edge_cache, self._edge_sinks
+        for name in dirty:
+            for driver in cache.pop(name, ()):
+                fanout = sinks[driver]
+                fanout.remove(name)
+                if not fanout:
+                    del sinks[driver]
+            for sink in sinks.pop(name, ()):
+                row = cache[sink]
+                del row[name]
+                if not row:
+                    del cache[sink]
 
     def _slew_of(self, gate: Gate) -> float:
         """Worst output slew of one gate at its current load."""
@@ -145,11 +161,18 @@ class DelayCalculator:
     def edge_delay(self, driver: str, sink: str) -> float:
         """Delay of gate ``sink`` when driven from ``driver``."""
         self._refresh()
-        key = (driver, sink)
-        cached = self._edge_cache.get(key)
+        row = self._edge_cache.get(sink)
+        cached = None if row is None else row.get(driver)
         if cached is None:
             cached = self._compute_edge(driver, sink)
-            self._edge_cache[key] = cached
+            if row is None:
+                row = self._edge_cache[sink] = {}
+            row[driver] = cached
+            fanout = self._edge_sinks.get(driver)
+            if fanout is None:
+                self._edge_sinks[driver] = [sink]
+            else:
+                fanout.append(sink)
         return cached
 
     def gate_delay(self, name: str) -> float:
@@ -282,6 +305,7 @@ class FixedDelayCalculator(DelayCalculator):
         self._loads = {}
         self._slews = {}
         self._edge_cache = {}
+        self._edge_sinks = {}
         self._dirty = False
         self._pending_dirty: Set[str] = set()
         netlist.subscribe(self)
@@ -289,14 +313,12 @@ class FixedDelayCalculator(DelayCalculator):
     def on_netlist_event(self, event: NetlistEvent) -> None:
         """Evict arcs touching changed gates (delays are load-free)."""
         dirty = event.dirty_gates(self.netlist) | set(event.removed_gates())
-        for key in [
-            k for k in self._edge_cache if k[0] in dirty or k[1] in dirty
-        ]:
-            del self._edge_cache[key]
+        self._evict_edges(dirty)
 
     def invalidate(self) -> None:
         """Drop caches after a netlist mutation (e.g. sizing)."""
         self._edge_cache.clear()
+        self._edge_sinks.clear()
 
     def _refresh(self) -> None:
         return

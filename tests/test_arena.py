@@ -302,7 +302,12 @@ class TestBatchedSimulation:
         collector = metrics.MetricsCollector()
         with metrics.collect_into(collector):
             estimate_error_rate_batched(
-                circuit, placement, edl, cycles=4, seeds=[1, 2, 3]
+                circuit,
+                placement,
+                edl,
+                cycles=4,
+                seeds=[1, 2, 3],
+                backend="compiled",
             )
         assert collector.counters["sim.batched.runs"] == 1
         assert collector.counters["sim.batched.lanes"] == 3

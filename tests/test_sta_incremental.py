@@ -203,6 +203,23 @@ def _assert_engine_parity(netlist, inc, full):
     assert inc.violations(threshold) == full.violations(threshold)
 
 
+def _assert_edge_index(*engines):
+    """Each calculator's driver -> sinks index is exactly the
+    transpose of its sink-major edge cache (eviction walks the index,
+    never the whole cache)."""
+    for engine in engines:
+        calc = engine.calculator
+        expected = {}
+        for sink, row in calc._edge_cache.items():
+            assert row, f"empty cache row for {sink}"
+            for driver in row:
+                expected.setdefault(driver, []).append(sink)
+        assert {
+            driver: sorted(sinks)
+            for driver, sinks in calc._edge_sinks.items()
+        } == {driver: sorted(sinks) for driver, sinks in expected.items()}
+
+
 def _apply_op(netlist, op, seed, buffers, counter):
     """One random mutation; returns the updated buffer-name list."""
     comb = netlist.comb_gates()
@@ -262,6 +279,7 @@ class TestMutationParity:
             # so both freshly-flushed and batched event paths are hit.
             if index % 3 == 0 or index == len(ops) - 1:
                 _assert_engine_parity(netlist, inc, full)
+                _assert_edge_index(inc, full)
 
     @settings(
         max_examples=8,
@@ -307,6 +325,7 @@ class TestMutationParity:
                 buffers, counter,
             )
         _assert_engine_parity(netlist, inc, full)
+        _assert_edge_index(inc, full)
 
 
 # -- scoping and counters ----------------------------------------------------
